@@ -1,7 +1,6 @@
 #include "harness/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "stats/json.h"
 
@@ -27,21 +26,6 @@ best(const std::vector<double> &samples, bool higher_is_better)
     return higher_is_better
                ? *std::max_element(samples.begin(), samples.end())
                : *std::min_element(samples.begin(), samples.end());
-}
-
-double
-tailPercentile(std::vector<double> samples, double pct)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto n = static_cast<std::int64_t>(samples.size());
-    auto rank = static_cast<std::int64_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(n)));
-    if (n > 10)
-        rank = std::min(rank, n - 10);
-    rank = std::clamp<std::int64_t>(rank, 1, n);
-    return samples[static_cast<std::size_t>(rank - 1)];
 }
 
 namespace

@@ -30,16 +30,6 @@ double median(std::vector<double> samples);
  */
 double best(const std::vector<double> &samples, bool higher_is_better);
 
-/**
- * Tail latency: the nearest-rank @p pct percentile, but never a rank
- * with fewer than ten samples beyond it.  With 200 or more samples
- * this is exactly the nearest-rank p95 (for pct = 95); below that it
- * is the highest percentile that still has ten samples above it.  With
- * ten samples or fewer no such rank exists and the plain nearest-rank
- * value is returned.
- */
-double tailPercentile(std::vector<double> samples, double pct);
-
 /** Metric names: [A-Za-z0-9][A-Za-z0-9_.-]{0,63}. */
 bool validMetricName(const std::string &name);
 

@@ -331,6 +331,8 @@ runTraced(const Options &options)
             ratio(sums.delivered[info.kind], sums.slots[info.kind]);
     }
     m["fetch.share"] = ratio(sums.formGroupNs, sums.runNs);
+    // A remainder, not a measurement: it also holds what the decorators'
+    // clock reads cost the loop beyond their own spans (README).
     m["core.backend_share"] =
         ratio(sums.runNs - sums.formGroupNs -
                   static_cast<double>(sums.fill.ns),

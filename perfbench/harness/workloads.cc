@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include "core/error.h"
@@ -28,9 +29,12 @@ namespace perfbench
 namespace
 {
 
-/** Set-ups per run (a paper-report set-up is a whole regeneration). */
-constexpr int kSetupReps = 5;
-constexpr int kReportSetupReps = 3;
+/**
+ * Set-ups per run, reported as their median (a paper-report set-up is
+ * a whole regeneration; a kernel-steady one takes a few tens of ms).
+ */
+constexpr int kSetupReps = 15;
+constexpr int kReportSetupReps = 5;
 
 /** Timed passes per run at least, so the in-run spread is defined. */
 constexpr std::size_t kMinPasses = 4;
@@ -39,8 +43,13 @@ constexpr std::size_t kMinPasses = 4;
 constexpr int kServiceWorkers = 2;
 constexpr int kServiceClients = 2;
 
-/** Service sessions: jobs per fresh plan (the rest re-submit). */
-constexpr std::size_t kJobsPerFresh = 5;
+/**
+ * Service sessions: jobs per fresh plan (the rest re-submit).  One
+ * fresh plan per re-submission, the mix of scripts/serve_smoke.sh
+ * (a plan submitted, then the identical plan again); no measured
+ * traffic mix exists to take it from.
+ */
+constexpr std::size_t kJobsPerFresh = 2;
 
 /**
  * Service sessions: a client's fresh plans, one per benchmark x layout
@@ -86,12 +95,12 @@ specOf(const std::string &name)
     throw SimException(ErrorKind::Internal, "unknown metric " + name);
 }
 
-/** One timed pass: its wall time, work and operation latencies. */
+/** One timed pass: its wall time, work and per-cell times. */
 struct Pass
 {
     double wallS = 0;
-    double instsPerS = 0;      //!< retired simulated instructions / s
-    std::vector<double> latMs; //!< one per operation (cell or job)
+    double instsPerS = 0;       //!< retired simulated instructions / s
+    std::vector<double> cellMs; //!< one per sweep cell, in plan order
 };
 
 /** A run's readings of the timed metrics. */
@@ -99,8 +108,6 @@ struct Reading
 {
     double wallS = 0;
     double instsPerS = 0;
-    double p50Ms = 0;
-    double p95Ms = 0;
 };
 
 /** Reads the timed metrics from the passes listed in @p pick. */
@@ -108,42 +115,30 @@ using Reader = Reading (*)(const std::vector<Pass> &passes,
                            const std::vector<std::size_t> &pick);
 
 /**
- * For passes that run the same operations in the same order: each
- * operation's best latency over the picked passes, so that a contended
- * stretch costs only the operations it overlapped.
+ * Sweep passes on one worker, which run the same cells in the same
+ * order: the pass time is the sum of each cell's best time over the
+ * picked passes, so that a contended stretch costs only the cells it
+ * overlapped.
  */
-std::vector<double>
-fastestOps(const std::vector<Pass> &passes,
-           const std::vector<std::size_t> &pick)
-{
-    std::vector<double> fastest(passes.front().latMs.size());
-    for (std::size_t op = 0; op < fastest.size(); ++op) {
-        std::vector<double> times;
-        for (std::size_t i : pick)
-            times.push_back(passes[i].latMs[op]);
-        fastest[op] = best(times, false);
-    }
-    return fastest;
-}
-
-/** Sweep passes on one worker: the pass time is the cells' bests' sum. */
 Reading
 readCells(const std::vector<Pass> &passes,
           const std::vector<std::size_t> &pick)
 {
-    const std::vector<double> fastest = fastestOps(passes, pick);
     double wall_s = 0;
-    for (double ms : fastest)
-        wall_s += ms / 1e3;
+    for (std::size_t cell = 0; cell < passes.front().cellMs.size();
+         ++cell) {
+        std::vector<double> times;
+        for (std::size_t i : pick)
+            times.push_back(passes[i].cellMs[cell]);
+        wall_s += best(times, false) / 1e3;
+    }
     const Pass &first = passes.front();
-    return {wall_s, first.instsPerS * first.wallS / wall_s,
-            median(fastest), tailPercentile(fastest, 95)};
+    return {wall_s, first.instsPerS * first.wallS / wall_s};
 }
 
 /**
  * Report regenerations: wall time and throughput are the best pass's
- * (the 4 workers overlap, so cell times do not add up to the wall);
- * latency is per cell (the grid runs the same cells in plan order).
+ * (the 4 workers overlap, so cell times do not add up to the wall).
  */
 Reading
 readReport(const std::vector<Pass> &passes,
@@ -154,32 +149,30 @@ readReport(const std::vector<Pass> &passes,
         wall.push_back(passes[i].wallS);
         ips.push_back(passes[i].instsPerS);
     }
-    const std::vector<double> fastest = fastestOps(passes, pick);
-    return {best(wall, false), best(ips, true), median(fastest),
-            tailPercentile(fastest, 95)};
+    return {best(wall, false), best(ips, true)};
 }
 
 /**
- * Refuse (throw UnsteadyMetric) when the run's reading is less certain
- * than the metric's bound: the run cannot then resolve a change of that
- * size.  The uncertainty is estimated as half the difference between
- * the readings from the run's even and odd passes (each half has half
- * the samples of the whole; the halves interleave, so a slow phase of
- * the host reaches both alike).
+ * Refuse (throw UnsteadyMetric) when the readings from the run's even
+ * and odd passes differ by more than the metric's bound, relative to
+ * the whole run's reading: the run then disagrees with itself by more
+ * than the change it is meant to resolve.  The halves interleave, so a
+ * slow phase of the host reaches both alike; this check therefore
+ * catches an unsteady run, not the spread from one run to the next.
  */
 void
 requireSteady(const std::string &name, double full, double even,
               double odd, std::size_t passes)
 {
     const double bound = specOf(name).bound;
-    const double spread = std::fabs(even - odd) / (2 * full);
+    const double spread = std::fabs(even - odd) / full;
     std::cerr << "perfbench: " << name << " " << full
-              << ", even/odd uncertainty " << spread << " (bound "
+              << ", even/odd difference " << spread << " (bound "
               << bound << ", " << passes << " passes)\n";
     if (passes >= kMinPasses && spread > bound) {
         std::ostringstream os;
-        os << name << ": even and odd passes put its uncertainty at "
-           << spread << ", more than its bound " << bound;
+        os << name << ": even and odd passes differ by " << spread
+           << " of the reading, more than its bound " << bound;
         throw UnsteadyMetric(os.str());
     }
 }
@@ -206,17 +199,58 @@ reportEndToEnd(RunReport &report, const std::vector<double> &setup_s,
     requireSteady("wall_s", r.wallS, even.wallS, odd.wallS, n);
     requireSteady("sim_insts_per_s", r.instsPerS, even.instsPerS,
                   odd.instsPerS, n);
-    requireSteady("p50_ms", r.p50Ms, even.p50Ms, odd.p50Ms, n);
-    requireSteady("p95_ms", r.p95Ms, even.p95Ms, odd.p95Ms, n);
-    report.add("setup_s", best(setup_s, false), "s");
+    report.add("setup_s", median(setup_s), "s");
     report.add("wall_s", r.wallS, "s");
     report.add("sim_insts_per_s", r.instsPerS, "1/s");
-    report.add("p50_ms", r.p50Ms, "ms");
-    report.add("p95_ms", r.p95Ms, "ms");
     report.add("peak_rss_mb", rss_mb, "MB");
     report.add("paper_claims_held", acc.claimsHeld, "count");
     report.add("paper_table_mae_pp", acc.tableMaePp, "pp");
 }
+
+/**
+ * Moves the calling thread over the CPUs it may run on, two passes per
+ * CPU, and back to all of them when destroyed.  The vCPUs of a shared
+ * host differ in speed, each with its own neighbours' load, and the
+ * scheduler leaves a busy thread where it first put it; rotating makes
+ * every run sample every vCPU, so best-of readings do not depend on
+ * that placement.  Two passes per CPU give the even and the odd passes
+ * the same CPUs.
+ */
+class CpuRotation
+{
+  public:
+    CpuRotation()
+    {
+        CPU_ZERO(&allowed_);
+        if (sched_getaffinity(0, sizeof allowed_, &allowed_) != 0)
+            return;
+        for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+            if (CPU_ISSET(cpu, &allowed_))
+                cpus_.push_back(cpu);
+    }
+
+    ~CpuRotation()
+    {
+        if (!cpus_.empty())
+            sched_setaffinity(0, sizeof allowed_, &allowed_);
+    }
+
+    /** Pin the calling thread for pass @p pass. */
+    void
+    pin(std::size_t pass) const
+    {
+        if (cpus_.empty())
+            return;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpus_[pass / 2 % cpus_.size()], &one);
+        sched_setaffinity(0, sizeof one, &one);
+    }
+
+  private:
+    cpu_set_t allowed_;
+    std::vector<int> cpus_;
+};
 
 /** Run @p pass until @p seconds have elapsed and kMinPasses ran. */
 template <typename Fn>
@@ -441,8 +475,6 @@ endToEndMetrics()
         {"setup_s", "s", false, 0.25},
         {"wall_s", "s", false, 0.25},
         {"sim_insts_per_s", "1/s", true, 0.25},
-        {"p50_ms", "ms", false, 0.25},
-        {"p95_ms", "ms", false, 0.25},
         {"peak_rss_mb", "MB", false, 0.15},
         {"paper_claims_held", "count", true, 0.01},
         {"paper_table_mae_pp", "pp", false, 0.02},
@@ -611,10 +643,8 @@ runPaperReport(const Options &options)
         Pass pass;
         pass.wallS = run.wallNs / 1e9;
         double insts = 0;
-        for (std::size_t i = 0; i < run.grid.runs.size(); ++i) {
-            insts += static_cast<double>(run.grid.runs[i].counters.retired);
-            pass.latMs.push_back(run.grid.host[i].wallNs / 1e6);
-        }
+        for (const RunResult &cell : run.grid.runs)
+            insts += static_cast<double>(cell.counters.retired);
         pass.instsPerS = insts / pass.wallS;
         passes.push_back(std::move(pass));
         last = std::move(run.doc);
@@ -653,31 +683,41 @@ runKernelSteady(const Options &options)
     sweep_options.faults = FaultPlan{};
     SweepEngine engine(*session, sweep_options);
 
-    // Discarded warm-up: one cell per scheme.
-    const std::size_t schemes =
-        FetchSchemeRegistry::instance().schemes().size();
-    engine.run(std::vector<RunConfig>(configs.begin(),
-                                      configs.begin() + schemes));
+    // Discarded warm-up: the first cell of each scheme.
+    std::vector<RunConfig> warmup;
+    for (const RunConfig &config : configs)
+        if (std::none_of(warmup.begin(), warmup.end(),
+                         [&](const RunConfig &w) {
+                             return w.scheme == config.scheme;
+                         }))
+            warmup.push_back(config);
+    engine.run(warmup);
 
+    // One sweep worker runs its cells on this thread, which is unpinned
+    // again before the accuracy regeneration starts its threads.
     std::vector<Pass> passes;
-    timedPasses(options.seconds, [&] {
-        const std::uint64_t t0 = nowNs();
-        const SweepResult sweep = engine.run(configs);
-        Pass pass;
-        pass.wallS = (nowNs() - t0) / 1e9;
-        double insts = 0;
-        for (std::size_t i = 0; i < sweep.runs.size(); ++i) {
-            const RunResult &run = sweep.runs[i];
-            auto it = expected.find({input, cellLabel(run.config)});
-            report.check(sweep.cellOk(i) && it != expected.end() &&
-                         it->second ==
-                             fingerprint(run.config, run.counters));
-            insts += static_cast<double>(run.counters.retired);
-            pass.latMs.push_back(sweep.host[i].wallNs / 1e6);
-        }
-        pass.instsPerS = insts / pass.wallS;
-        passes.push_back(std::move(pass));
-    });
+    {
+        const CpuRotation rotation;
+        timedPasses(options.seconds, [&] {
+            rotation.pin(passes.size());
+            const std::uint64_t t0 = nowNs();
+            const SweepResult sweep = engine.run(configs);
+            Pass pass;
+            pass.wallS = (nowNs() - t0) / 1e9;
+            double insts = 0;
+            for (std::size_t i = 0; i < sweep.runs.size(); ++i) {
+                const RunResult &run = sweep.runs[i];
+                auto it = expected.find({input, cellLabel(run.config)});
+                report.check(sweep.cellOk(i) && it != expected.end() &&
+                             it->second ==
+                                 fingerprint(run.config, run.counters));
+                insts += static_cast<double>(run.counters.retired);
+                pass.cellMs.push_back(sweep.host[i].wallNs / 1e6);
+            }
+            pass.instsPerS = insts / pass.wallS;
+            passes.push_back(std::move(pass));
+        });
+    }
     const double rss = peakRssMb();
     session.reset();
     reportEndToEnd(report, setup_s, passes, readCells, rss,
